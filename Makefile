@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-norace lint lint-baseline check race bench bench-smoke bench-compare clean
+.PHONY: build test test-norace test-cpus lint lint-baseline check race bench bench-smoke bench-compare clean
 
 build:
 	$(GO) build ./...
@@ -8,14 +8,21 @@ build:
 test:
 	$(GO) test ./...
 
-# test-norace runs the engine and instrumentation packages WITHOUT the
-# race detector: the zero-allocation runtime gates
+# test-norace runs the engine, instrumentation and simulator packages
+# WITHOUT the race detector: the zero-allocation runtime gates
 # (TestSearchStepDisabledZeroAlloc, TestEmitDedupeZeroAllocs,
-# TestArcDelaysSteadyStateAllocs, TestSpanDisabledZeroCost) skip
-# themselves under -race because its bookkeeping breaks AllocsPerRun
-# accounting — a -race-only pipeline would never execute them.
+# TestArcDelaysSteadyStateAllocs, TestSpanDisabledZeroCost,
+# TestSimulateGateAllocs) skip themselves under -race because its
+# bookkeeping breaks AllocsPerRun accounting — a -race-only pipeline
+# would never execute them.
 test-norace:
-	$(GO) test ./internal/core/ ./internal/obs/
+	$(GO) test ./internal/core/ ./internal/obs/ ./internal/spice/
+
+# test-cpus reruns the packages whose behaviour depends on the worker
+# count (Workers 0 means all CPUs) at GOMAXPROCS 1, 2 and 4, so a
+# failure that only shows on a multi-core host cannot ship.
+test-cpus:
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/core ./sta ./cmd/obsreport
 
 # lint runs the stock go vet passes plus the repository's own stalint
 # suite (internal/analysis): sharedstate, exhaustive, floatcmp,
@@ -37,13 +44,13 @@ lint-baseline:
 	git diff --stat -- lint.baseline || true
 
 # check is the pre-commit gate: static analysis, the non-race run of
-# the zero-alloc gates, the race-sensitive packages (the
-# instrumentation layer, the parallel search engine and the shared
-# cell/library caches it touches) under the race detector — which
+# the zero-alloc gates, the CPU-count matrix, the race-sensitive
+# packages (the instrumentation layer, the parallel search engine and
+# the shared cell/library caches it touches) under the race detector — which
 # includes the learning differential suite and its lock-free nogood
 # exchange — and short fuzz smokes of the Verilog parser and the
 # nogood soundness property.
-check: lint test-norace
+check: lint test-norace test-cpus
 	$(GO) test -race ./internal/obs ./internal/core ./internal/cell ./internal/charlib
 	$(GO) test -run '^$$' -fuzz '^FuzzVerilog$$' -fuzztime 10s ./internal/netlist
 	$(GO) test -run '^$$' -fuzz '^FuzzNogood$$' -fuzztime 10s ./internal/core

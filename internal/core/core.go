@@ -103,7 +103,9 @@ type Options struct {
 	// Tracer, when non-nil, receives structured search events (input
 	// started, path recorded, truncation, done, spans, scheduler
 	// steal/donate/resume). Emission happens only at those coarse
-	// points — never per step unless TraceSampleEvery opts in.
+	// points — never per step unless TraceSampleEvery opts in. When
+	// Workers != 1 every worker emits into the same Tracer, so it must
+	// be safe for concurrent Emit (obs.JSONL is).
 	Tracer obs.Tracer
 	// TraceSampleEvery, with a Tracer configured, additionally emits one
 	// sampled "step" event every N sensitization decisions, recording
@@ -123,7 +125,9 @@ type Options struct {
 	Metrics *Metrics
 	// Progress, when non-nil, is called every ProgressEvery
 	// sensitization attempts and once more (Done=true) when the search
-	// finishes.
+	// finishes. Calls are serialized, never concurrent, at any Workers
+	// setting: parallel searches fan the per-worker reports into one
+	// aggregated callback under a mutex.
 	Progress func(ProgressInfo)
 	// ProgressEvery is the Progress callback period in sensitization
 	// attempts (default 65536).

@@ -101,6 +101,12 @@ func (e *Engine) ParallelStats() ParallelStats {
 // fanin tables and are called right after it at every parallel entry
 // point.
 func (e *Engine) precomputeLoads() {
+	// Without a library the search never asks for a load (the kernel
+	// table is its only consumer), and structure-only engines may have
+	// no Tech to compute one from.
+	if e.Lib == nil {
+		return
+	}
 	for _, g := range e.Circuit.Gates {
 		e.load(g)
 	}
@@ -125,8 +131,8 @@ func (e *Engine) warmShared() error {
 // options are private with the global step cap disabled — the parallel
 // budget is the scheduler's shared stepBudget — and the progress
 // fan-in hook installed. The dedupe pre-size hint is divided across
-// the pool. When Workers > 1, a configured Tracer receives events from
-// all workers and must be safe for concurrent Emit (obs.JSONL is).
+// the pool. The workers share the configured Tracer (Options.Tracer
+// states its concurrency contract).
 func (e *Engine) workerEngine(progress func(ProgressInfo), workers int) *Engine {
 	we := *e
 	// The lane scratch must be private per worker: a shared copy would
@@ -192,11 +198,15 @@ func (a *progressAgg) hook(w int) func(ProgressInfo) {
 	}
 }
 
-// finish emits the final Done callback with the merged totals.
+// finish emits the final Done callback with the merged totals, under
+// the same mutex as the per-worker hooks so every call into the user's
+// Progress is serialized.
 func (a *progressAgg) finish(steps, paths int64) {
 	if a == nil {
 		return
 	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	a.fn(ProgressInfo{Steps: steps, MaxSteps: a.maxSteps, Paths: paths,
 		Workers: a.workers, Done: true})
 }

@@ -551,3 +551,36 @@ func TestWorkersOneIsSerial(t *testing.T) {
 		t.Fatal("no paths")
 	}
 }
+
+// TestStructureOnlyNilTechParallel: a structure-only engine (nil Tech
+// and Lib, the documented sta mode) must run at every worker count —
+// the parallel entry points once warmed the output-load cache, which
+// dereferences the Tech — and reproduce the serial result exactly.
+// Workers 0 means all CPUs, so on a multi-core host it is the default
+// parallel path.
+func TestStructureOnlyNilTechParallel(t *testing.T) {
+	for name, c := range diffCircuits(t) {
+		c := c
+		t.Run(name, func(t *testing.T) {
+			enum := func(w int) (*Result, error) { return New(c, nil, nil, Options{Workers: w}).Enumerate() }
+			kworst := func(w int) (*Result, error) { return New(c, nil, nil, Options{Workers: w}).KWorst(3) }
+			for _, mode := range []struct {
+				label  string
+				run    func(int) (*Result, error)
+				strict bool
+			}{{"enumerate", enum, true}, {"kworst", kworst, false}} {
+				serial, err := mode.run(1)
+				if err != nil {
+					t.Fatalf("%s serial: %v", mode.label, err)
+				}
+				for _, w := range []int{0, 1, 2, 4} {
+					got, err := mode.run(w)
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", mode.label, w, err)
+					}
+					assertSameResult(t, fmt.Sprintf("%s/workers=%d", mode.label, w), serial, got, mode.strict)
+				}
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"sync"
 	"testing"
 
 	"tpsta/internal/circuits"
@@ -117,10 +118,18 @@ func TestTruncReasonJSONRoundtrip(t *testing.T) {
 	}
 }
 
-// collectTracer records events for assertions.
-type collectTracer struct{ events []obs.Event }
+// collectTracer records events for assertions. Options.Tracer must be
+// safe for concurrent Emit when Workers != 1, so the recorder locks.
+type collectTracer struct {
+	mu     sync.Mutex
+	events []obs.Event
+}
 
-func (c *collectTracer) Emit(ev obs.Event) { c.events = append(c.events, ev) }
+func (c *collectTracer) Emit(ev obs.Event) {
+	c.mu.Lock()
+	c.events = append(c.events, ev)
+	c.mu.Unlock()
+}
 
 func TestTracerAndProgressHooks(t *testing.T) {
 	c, err := circuits.Get("c17")

@@ -118,97 +118,14 @@ func (s *Sim) SimulateGateWave(c *cell.Cell, vec cell.Vector, in Waveform, input
 
 	tStart := in.Times[0]
 	inEnd := in.Times[len(in.Times)-1]
-
-	// Crude time constant estimate for window/step sizing: the slowest
-	// single device driving the total network capacitance.
-	rMax := 0.0
-	for i := range nw.devices {
-		if r := 1 / nw.devices[i].gon; r > rMax {
-			rMax = r
-		}
-	}
-	cTot := 0.0
-	for _, cp := range nw.caps {
-		cTot += cp
-	}
-	tau := rMax * cTot
-	if tau <= 0 {
-		return Result{}, fmt.Errorf("spice: degenerate network for %s", c.Name)
-	}
-
-	dt := tau / 60
-	if ramp := inEnd - tStart; ramp > 0 && ramp/40 < dt {
-		dt = ramp / 40
-	}
-	window := (inEnd - tStart) + 30*tau
-
-	vp := make([]float64, len(waves))
-	for i, w := range waves {
-		vp[i] = w.At(tStart)
-	}
-	v, err := nw.dcSolve(vp)
-	if err != nil {
-		return Result{}, err
-	}
-
-	n := len(nw.nodes)
-	G := newMatrix(n)
-	I := make([]float64, n)
-	times := []float64{tStart}
-	volts := []float64{v[nw.zIdx]}
-
 	settleTarget := 0.0
 	if outRising {
 		settleTarget = vdd
 	}
-
-	t := tStart
-	steps := 0
-	maxSteps := s.maxSteps()
-	extended := 0
-	for {
-		t += dt
-		steps++
-		if steps > maxSteps {
-			return Result{}, fmt.Errorf("spice: %s did not settle within %d steps", c.Name, maxSteps)
-		}
-		for i, w := range waves {
-			vp[i] = w.At(t)
-		}
-		// Backward Euler with 3 fixed-point refinements of the nonlinear
-		// conductances.
-		vNew := append([]float64(nil), v...)
-		for it := 0; it < 3; it++ {
-			nw.assemble(vNew, vp, G, I)
-			for i := 0; i < n; i++ {
-				G[i][i] += nw.caps[i] / dt
-				I[i] += nw.caps[i] / dt * v[i]
-			}
-			x, err := solveLinear(G, I)
-			if err != nil {
-				return Result{}, err
-			}
-			vNew = x
-		}
-		v = vNew
-		times = append(times, t)
-		volts = append(volts, v[nw.zIdx])
-
-		if t >= tStart+window {
-			if math.Abs(v[nw.zIdx]-settleTarget) < 0.005*vdd {
-				break
-			}
-			if extended >= 6 {
-				return Result{}, fmt.Errorf("spice: output of %s stuck at %.3f V (target %.3f V)", c.Name, v[nw.zIdx], settleTarget)
-			}
-			extended++
-			window *= 2
-		} else if t > inEnd && math.Abs(v[nw.zIdx]-settleTarget) < 0.001*vdd {
-			break
-		}
+	out, err := nw.transient(c.Name, waves, tStart, inEnd, inEnd-tStart, settleTarget, s.maxSteps())
+	if err != nil {
+		return Result{}, err
 	}
-
-	out := Waveform{Times: times, Volts: volts}
 	inCross, ok := in.Cross(vdd/2, inputRising)
 	if !ok {
 		return Result{}, fmt.Errorf("spice: input waveform never crosses 50%%")
@@ -390,7 +307,35 @@ func (s *Sim) SimulateGateMIS(c *cell.Cell, switching []SwitchingInput, side map
 		waves[i] = w
 	}
 
-	// Transient: reuse the single-input machinery's stepping inline.
+	settle := 0.0
+	if outRising {
+		settle = vdd
+	}
+	out, err := nw.transient(c.Name+" (MIS)", waves, tMin, tMax, tin*slewToRamp, settle, s.maxSteps())
+	if err != nil {
+		return MISResult{}, err
+	}
+	cross, ok := out.Cross(vdd/2, outRising)
+	if !ok {
+		return MISResult{}, fmt.Errorf("spice: MIS output never crosses 50%%")
+	}
+	slew, ok := out.Slew(vdd, outRising)
+	if !ok {
+		return MISResult{}, fmt.Errorf("spice: MIS output edge incomplete")
+	}
+	return MISResult{OutputCross: cross, OutputRising: outRising, OutputSlew: slew, Wave: out}, nil
+}
+
+// transient integrates the network with backward Euler from its DC
+// operating point at t0, the pins following waves, and returns the
+// output (Z) waveform. The fixed step resolves both the network's crude
+// time constant τ (the slowest single device driving the total
+// capacitance) and the input ramp duration; the inputs finish switching
+// at tEnd. The run ends once the inputs are done and Z is within 0.1 %
+// of VDD of target, or at the end of a window of tEnd−t0+30τ if Z is
+// then within 0.5 %; an unsettled output doubles the window, at most
+// six times. name labels the errors.
+func (nw *network) transient(name string, waves []Waveform, t0, tEnd, ramp, target float64, maxSteps int) (Waveform, error) {
 	rMax := 0.0
 	for i := range nw.devices {
 		if r := 1 / nw.devices[i].gon; r > rMax {
@@ -402,78 +347,61 @@ func (s *Sim) SimulateGateMIS(c *cell.Cell, switching []SwitchingInput, side map
 		cTot += cp
 	}
 	tau := rMax * cTot
+	if tau <= 0 {
+		return Waveform{}, fmt.Errorf("spice: degenerate network for %s", name)
+	}
 	dt := tau / 60
-	if ramp := tin * slewToRamp; ramp/40 < dt {
+	if ramp > 0 && ramp/40 < dt {
 		dt = ramp / 40
 	}
-	window := (tMax - tMin) + 30*tau
+	window := (tEnd - t0) + 30*tau
 
+	vdd := nw.vdd
 	vp := make([]float64, len(waves))
 	for i, w := range waves {
-		vp[i] = w.At(tMin)
+		vp[i] = w.At(t0)
 	}
-	v, err := nw.dcSolve(vp)
+	v, err := nw.dcSolve(vp) // fills ws.buf[0]
 	if err != nil {
-		return MISResult{}, err
+		return Waveform{}, err
 	}
-	n := len(nw.nodes)
-	G := newMatrix(n)
-	I := make([]float64, n)
-	times := []float64{tMin}
+	for i, cp := range nw.caps {
+		nw.ws.cdt[i] = cp / dt
+	}
+	times := []float64{t0}
 	volts := []float64{v[nw.zIdx]}
-	settle := 0.0
-	if outRising {
-		settle = vdd
-	}
-	t := tMin
+	t := t0
+	cur := 0
 	steps := 0
 	extended := 0
 	for {
 		t += dt
 		steps++
-		if steps > s.maxSteps() {
-			return MISResult{}, fmt.Errorf("spice: MIS run did not settle")
+		if steps > maxSteps {
+			return Waveform{}, fmt.Errorf("spice: %s did not settle within %d steps", name, maxSteps)
 		}
 		for i, w := range waves {
 			vp[i] = w.At(t)
 		}
-		vNew := append([]float64(nil), v...)
-		for it := 0; it < 3; it++ {
-			nw.assemble(vNew, vp, G, I)
-			for i := 0; i < n; i++ {
-				G[i][i] += nw.caps[i] / dt
-				I[i] += nw.caps[i] / dt * v[i]
-			}
-			x, err := solveLinear(G, I)
-			if err != nil {
-				return MISResult{}, err
-			}
-			vNew = x
+		if cur, err = nw.step(cur, vp); err != nil {
+			return Waveform{}, err
 		}
-		v = vNew
+		z := nw.ws.buf[cur][nw.zIdx]
 		times = append(times, t)
-		volts = append(volts, v[nw.zIdx])
-		if t >= tMin+window {
-			if math.Abs(v[nw.zIdx]-settle) < 0.005*vdd {
+		volts = append(volts, z)
+
+		if t >= t0+window {
+			if math.Abs(z-target) < 0.005*vdd {
 				break
 			}
 			if extended >= 6 {
-				return MISResult{}, fmt.Errorf("spice: MIS output stuck at %.3f V", v[nw.zIdx])
+				return Waveform{}, fmt.Errorf("spice: output of %s stuck at %.3f V (target %.3f V)", name, z, target)
 			}
 			extended++
 			window *= 2
-		} else if t > tMax && math.Abs(v[nw.zIdx]-settle) < 0.001*vdd {
+		} else if t > tEnd && math.Abs(z-target) < 0.001*vdd {
 			break
 		}
 	}
-	out := Waveform{Times: times, Volts: volts}
-	cross, ok := out.Cross(vdd/2, outRising)
-	if !ok {
-		return MISResult{}, fmt.Errorf("spice: MIS output never crosses 50%%")
-	}
-	slew, ok := out.Slew(vdd, outRising)
-	if !ok {
-		return MISResult{}, fmt.Errorf("spice: MIS output edge incomplete")
-	}
-	return MISResult{OutputCross: cross, OutputRising: outRising, OutputSlew: slew, Wave: out}, nil
+	return Waveform{Times: times, Volts: volts}, nil
 }

@@ -72,23 +72,24 @@ func TestWaveformValidate(t *testing.T) {
 }
 
 func TestSolveLinear(t *testing.T) {
-	G := [][]float64{{2, 1}, {1, 3}}
+	G := []float64{2, 1, 1, 3}
 	I := []float64{5, 10}
-	x, err := solveLinear(G, I)
-	if err != nil {
+	x := make([]float64, 2)
+	if err := solveLinear(G, I, x); err != nil {
 		t.Fatal(err)
 	}
 	// 2x+y=5, x+3y=10 → x=1, y=3
 	if math.Abs(x[0]-1) > 1e-12 || math.Abs(x[1]-3) > 1e-12 {
 		t.Errorf("solution = %v", x)
 	}
-	if _, err := solveLinear([][]float64{{0, 0}, {0, 0}}, []float64{1, 1}); err == nil {
+	if err := solveLinear([]float64{0, 0, 0, 0}, []float64{1, 1}, x); err == nil {
 		t.Error("singular matrix should fail")
 	}
 	// Needs pivoting: zero on the diagonal.
-	G2 := [][]float64{{0, 1}, {1, 0}}
+	G2 := []float64{0, 1, 1, 0}
 	I2 := []float64{2, 3}
-	x2, err := solveLinear(G2, I2)
+	x2 := make([]float64, 2)
+	err := solveLinear(G2, I2, x2)
 	if err != nil || math.Abs(x2[0]-3) > 1e-12 || math.Abs(x2[1]-2) > 1e-12 {
 		t.Errorf("pivoting solve = %v, %v", x2, err)
 	}
@@ -462,6 +463,7 @@ func BenchmarkSimulateGateAO22(b *testing.B) {
 	vec := ao22.Vectors("A")[1]
 	load := ao22.InputCap(tc, "A")
 	s := New(tc)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.SimulateGate(ao22, vec, false, 40e-12, load); err != nil {

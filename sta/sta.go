@@ -155,6 +155,9 @@ type (
 	// (per-arc sweep/fit timings, worker utilization, fit solves).
 	CharStats = charlib.CharStats
 	// Tracer consumes structured search events (see EngineOptions.Tracer).
+	// With EngineOptions.Workers != 1 all search workers emit into the
+	// same Tracer, so it must be safe for concurrent Emit (the
+	// NewJSONLTracer tracer is).
 	Tracer = obs.Tracer
 	// TraceEvent is one structured search event.
 	TraceEvent = obs.Event
