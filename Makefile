@@ -58,16 +58,15 @@ check: lint test-norace test-cpus
 race:
 	$(GO) test -race ./...
 
-# bench measures the delay-kernel hot path (ArcDelays before/after the
-# run-specialized kernels, plus the delay-mode K-worst search), the
-# work-stealing scheduler (serial vs static sharding vs stealing on the
-# skewed topology, plus the string-free dedupe record path), the obs
+# bench measures the delay-kernel hot path (ArcDelays: the charlib
+# oracle vs the batched run-specialized kernels, plus the delay-mode
+# K-worst search), the work-stealing scheduler (serial vs stealing on
+# the skewed topology, plus the string-free dedupe record path), the obs
 # instrumentation overhead, the nogood-learning step reduction and the
 # batch multi-corner sweep against independent per-corner engine runs,
 # records the numbers as BENCH_*.json artifacts via cmd/benchjson, then
 # runs the paper-table benchmarks of the root package once.
 KERNEL_BENCH = -run '^$$' -bench 'BenchmarkArcDelays|BenchmarkKWorstDelay' -benchtime 2000x ./internal/core
-BATCH_BENCH = -run '^$$' -bench 'BenchmarkArcDelays/(batched|kernel)$$' -benchtime 200000x -count 1 ./internal/core
 STEAL_BENCH = -run '^$$' -bench 'BenchmarkWorkStealing|BenchmarkDedupeEmit' -benchtime 10x -benchmem ./internal/core
 OBS_BENCH = -run '^$$' -bench 'BenchmarkObsOverhead' -benchtime 10x -benchmem ./internal/core
 LEARN_BENCH = -run '^$$' -bench 'BenchmarkNogoodLearning' -benchtime 5x ./internal/core
@@ -78,21 +77,14 @@ bench:
 		-command "go test $(KERNEL_BENCH)" \
 		-workload "circuit=fig4 (paper Fig. 4 sample circuit, 130nm TestGrid characterization)" \
 		-workload "query=slowest enumerated path, rising launch (ArcDelays); k=5 branch-and-bound (KWorstDelay)" \
-		-note "ArcDelays/mapkeyed is the pre-kernel implementation (string-keyed library lookups, full 4-variable polynomial) kept as the differential oracle; ArcDelays/kernel is the integer-indexed (T,VDD)-specialized layer with a reused output buffer; ArcDelays/batched is the pooled struct-of-arrays path on top (see BENCH_batched_kernels.json for the gated comparison). Results are bit-identical by construction (see internal/core kernel tests); only the cost changes." \
+		-note "ArcDelays/mapkeyed is the charlib oracle (string-keyed library lookups, full 4-variable polynomial, fresh result slice); ArcDelays/batched is the production path: integer-indexed (T,VDD)-specialized kernels in a pooled struct-of-arrays layout (dense slots, one shared power block per arc, BatchWidth-lane delay summation) with a reused output buffer, which must stay at 0 allocs/op. Results are bit-identical by construction (the charlib-oracle tests in internal/core pin Enumerate/KWorst/EnumerateCourse delays and the K-worst bounds bit for bit); only the cost changes." \
 		-out BENCH_delay_kernels.json
-	$(GO) test $(BATCH_BENCH) | $(GO) run ./cmd/benchjson \
-		-artifact "batched struct-of-arrays kernel evaluation" \
-		-command "go test $(BATCH_BENCH)" \
-		-workload "circuit=fig4 (paper Fig. 4 sample circuit, 130nm TestGrid characterization)" \
-		-workload "query=slowest enumerated path, rising launch, reused output buffer (steady state)" \
-		-note "ArcDelays/kernel is the PR 4 scalar walk (one Specialized.Eval per delay and per slew, two power-table builds per arc); ArcDelays/batched is the pooled struct-of-arrays path (dense slots, one shared power block per arc, branch-free fixed-shape term loop, BatchWidth-lane delay summation). Results are bit-identical by construction — the scalar-vs-batched differential suite (kernels_batch_test.go) pins Enumerate/KWorst/EnumerateCourse byte-identical at any worker count — so ns/op is the whole story and both rows must stay at 0 allocs/op. The batched row must hold >= 1.3x fewer ns/op than kernel; single-CPU shared hosts are noisy, so re-measure with interleaved runs before believing a regression." \
-		-out BENCH_batched_kernels.json
 	$(GO) test $(STEAL_BENCH) | $(GO) run ./cmd/benchjson \
 		-artifact "work-stealing parallel search + string-free dedupe" \
 		-command "go test $(STEAL_BENCH)" \
 		-workload "circuit=skew (circuits.Skewed: 3 deep launch cones + 8 shallow inputs, depth-24 mixed-gate ladder, structure-only enumeration)" \
-		-workload "modes=serial; static-4 (PR 2 static launch-point sharding, Options.StaticSharding); stealing-4 (work-stealing scheduler with subtree donation)" \
-		-note "On a host with >= 4 CPUs, stealing-4 is the headline: static sharding strands the pool on the three deep shards while stealing spreads their donated subtrees across all workers (expected >= 1.5x over static-4). On a single-CPU host (see the host block) the three modes measure at parity: repeated runs land within the +-10-15% run-to-run noise of the machine with no consistent winner — there is no idle time for stealing to recover, and the donation/replay traffic the skew provokes costs nothing measurable. BenchmarkDedupeEmit is the string-free dedupe claim: a duplicate variant reaching emit costs 0 allocs/op (the string-keyed dedupe paid two builders and a join per visited path); the allocs column is the result, ns/op is incidental." \
+		-workload "modes=serial; stealing-4 (work-stealing scheduler with subtree donation, 4 workers)" \
+		-note "On a host with >= 4 CPUs, stealing-4 is the headline: stealing spreads the three deep shards' donated subtrees across all workers instead of leaving one worker per deep cone. On a single-CPU host (see the host block) the two modes measure at parity: repeated runs land within the +-10-15% run-to-run noise of the machine with no consistent winner — there is no idle time for stealing to recover, and the donation/replay traffic the skew provokes costs nothing measurable. BenchmarkDedupeEmit is the string-free dedupe claim: a duplicate variant reaching emit costs 0 allocs/op (the string-keyed dedupe paid two builders and a join per visited path); the allocs column is the result, ns/op is incidental." \
 		-out BENCH_work_stealing.json
 	$(GO) test $(OBS_BENCH) | $(GO) run ./cmd/benchjson \
 		-artifact "obs v2 instrumentation overhead on the search hot path" \
@@ -125,7 +117,6 @@ bench:
 # re-measure locally, not a merge gate.
 bench-compare:
 	$(GO) test $(KERNEL_BENCH) | $(GO) run ./cmd/benchjson -compare BENCH_delay_kernels.json
-	$(GO) test $(BATCH_BENCH) | $(GO) run ./cmd/benchjson -compare BENCH_batched_kernels.json
 	$(GO) test $(STEAL_BENCH) | $(GO) run ./cmd/benchjson -compare BENCH_work_stealing.json
 	$(GO) test $(OBS_BENCH) | $(GO) run ./cmd/benchjson -compare BENCH_obs_overhead.json
 	$(GO) test $(LEARN_BENCH) | $(GO) run ./cmd/benchjson -compare BENCH_nogood_learning.json

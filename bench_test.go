@@ -151,8 +151,8 @@ func benchAccuracy(b *testing.B, fn func(exp.Config) ([]exp.AccuracyRow, *report
 // (Options.Workers) structure-only so the measurement isolates the
 // search itself: a balanced multi-output generated circuit, and the
 // skewed topology (circuits.Skewed — three deep launch cones, eight
-// shallow ones) where static launch-point sharding strands the pool on
-// three shards and only subtree donation balances the load. Every pool
+// shallow ones) where sharding by launch point alone strands the pool
+// on three shards and only subtree donation balances the load. Every pool
 // size must report the same number of paths per circuit — the
 // differential harness in internal/core pins full byte-identity; here
 // the benchmark only guards against gross divergence while timing.

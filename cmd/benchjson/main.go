@@ -9,7 +9,7 @@
 //	go test -run '^$' -bench X -benchtime 100x ./pkg | \
 //	    go run ./cmd/benchjson -artifact "thing measured" -out BENCH_thing.json
 //
-// When the input contains the BenchmarkArcDelays kernel/mapkeyed pair,
+// When the input contains the BenchmarkArcDelays mapkeyed/batched pair,
 // the before/after comparison is appended to the note automatically so
 // the recorded artifact always carries the measured speedup.
 //
@@ -71,7 +71,7 @@ type metrics struct {
 }
 
 // benchLine matches one result row, e.g.
-// "BenchmarkArcDelays/kernel-4   634924   453.0 ns/op   0 B/op   0 allocs/op"
+// "BenchmarkArcDelays/batched-4   634924   453.0 ns/op   0 B/op   0 allocs/op"
 // (the -4 GOMAXPROCS suffix and the memory columns are optional).
 var benchLine = regexp.MustCompile(
 	`^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
@@ -158,18 +158,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark results on stdin")
 		os.Exit(1)
 	}
-	if after, okA := r.Bench["ArcDelays/kernel"]; okA {
+	if after, okA := r.Bench["ArcDelays/batched"]; okA {
 		if before, okB := r.Bench["ArcDelays/mapkeyed"]; okB && after.NsPerOp > 0 {
 			r.Note = strings.TrimSpace(r.Note + fmt.Sprintf(
-				" Measured this run: mapkeyed (before) %.0f ns/op, %.0f allocs/op vs kernel (after) %.0f ns/op, %.0f allocs/op — %.2fx fewer ns/op.",
-				before.NsPerOp, before.AllocsPerOp, after.NsPerOp, after.AllocsPerOp,
-				before.NsPerOp/after.NsPerOp))
-		}
-	}
-	if after, okA := r.Bench["ArcDelays/batched"]; okA {
-		if before, okB := r.Bench["ArcDelays/kernel"]; okB && after.NsPerOp > 0 {
-			r.Note = strings.TrimSpace(r.Note + fmt.Sprintf(
-				" Measured this run: kernel (scalar walk) %.0f ns/op, %.0f allocs/op vs batched (struct-of-arrays) %.0f ns/op, %.0f allocs/op — %.2fx fewer ns/op.",
+				" Measured this run: mapkeyed (charlib oracle) %.0f ns/op, %.0f allocs/op vs batched (struct-of-arrays) %.0f ns/op, %.0f allocs/op — %.2fx fewer ns/op.",
 				before.NsPerOp, before.AllocsPerOp, after.NsPerOp, after.AllocsPerOp,
 				before.NsPerOp/after.NsPerOp))
 		}

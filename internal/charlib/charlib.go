@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -467,6 +468,27 @@ func (l *Library) GateDelay(cellName, pin, vectorKey string, rising bool, fo, ti
 	return m.Delay.Eval(x[:]), m.Slew.Eval(x[:]), nil
 }
 
+// WorstDelay returns the largest GateDelay over every sensitization
+// vector of pin on c and both input edges, visited in Cell.Vectors
+// order with the rising edge first, together with the output slew of
+// the first arc that reaches it. A pin without vectors yields -Inf;
+// what a non-positive worst means is the caller's decision.
+func (l *Library) WorstDelay(c *cell.Cell, pin string, fo, tin, temp, vdd float64) (delay, slew float64, err error) {
+	delay = math.Inf(-1)
+	for _, vec := range c.Vectors(pin) {
+		for _, rising := range [2]bool{true, false} {
+			d, s, err := l.GateDelay(c.Name, pin, vec.Key(), rising, fo, tin, temp, vdd)
+			if err != nil {
+				return 0, 0, err
+			}
+			if d > delay {
+				delay, slew = d, s
+			}
+		}
+	}
+	return delay, slew, nil
+}
+
 // Arc returns the fitted polynomial models of one timing arc, or false
 // when the library does not characterize it. It shares the lazily
 // built struct-keyed index with GateDelay; the core engine uses it to
@@ -543,6 +565,9 @@ func Load(r io.Reader) (*Library, error) {
 	}
 	if l.TechName == "" || len(l.Poly) == 0 {
 		return nil, fmt.Errorf("charlib: loaded library is empty")
+	}
+	if err := l.Grid.validate(); err != nil {
+		return nil, err
 	}
 	return &l, nil
 }

@@ -2,6 +2,7 @@ package charlib
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -233,6 +234,38 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewBufferString("not json")); err == nil {
 		t.Error("non-JSON should fail to load")
+	}
+}
+
+// TestLoadRejectsBadGrid checks that Load applies the same grid
+// validation as Characterize: a saved library whose Tin sweep was
+// emptied or cut to one point must not load, since the K-worst bound
+// reads the slowest characterized Tin and the LUT needs a 2×2 body.
+func TestLoadRejectsBadGrid(t *testing.T) {
+	l := charSmall(t, "130nm", "INV")
+	for _, tin := range [][]float64{nil, {20e-12}} {
+		var buf bytes.Buffer
+		if err := l.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		g := l.Grid
+		g.Tin = tin
+		raw, err := json.Marshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc["grid"] = raw
+		edited, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bytes.NewReader(edited)); err == nil {
+			t.Errorf("Load accepted a library with Tin grid %v", tin)
+		}
 	}
 }
 

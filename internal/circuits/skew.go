@@ -11,8 +11,8 @@ import (
 // scheduler exists for: three inputs drive a deep width-3 ladder whose
 // structural path count doubles per level (almost all search work lives
 // in their three launch cones), while the remaining inputs each feed a
-// single shallow gate. Under static launch-point sharding a pool spends
-// the run waiting on the deep shards; stealing spreads the deep cones'
+// single shallow gate. Sharded by launch point alone, a pool spends the
+// run waiting on the deep shards; stealing spreads the deep cones'
 // donated subtrees across every worker.
 //
 // Each ladder level mixes the previous level's three nets with three

@@ -47,10 +47,6 @@ type Options struct {
 	// truncated parallel run performs exactly the serial step total —
 	// which paths land inside the budget then depends on scheduling.
 	Workers int
-	// StaticSharding disables stealing and donation: each worker runs
-	// exactly the shards seeded to it round-robin, as in the original
-	// static mode. Ablation/benchmark baseline only.
-	StaticSharding bool
 	// StealPollSteps is the period, in sensitization attempts, at which
 	// a busy parallel worker checks for starving peers and donates a
 	// subtree (default 128; the steal-storm stress test sets 1).
@@ -404,14 +400,10 @@ type Engine struct {
 	kernCache []*kernelState
 	scratch   []float64     // serial-context arc-delay buffer (reports, bounds)
 	ksc       kernelScratch // batched-evaluation lane scratch (per engine copy)
-	// scalarKernels forces ArcDelaysInto onto the legacy one-arc-at-a-
-	// time kernel walk. The differential suite flips it to prove the
-	// batched path byte-identical; production engines leave it false.
-	scalarKernels bool
-	lastStats     SearchStats   // snapshot of the most recent search
-	lastPar       ParallelStats // pool snapshot of the most recent parallel search
-	lastLearn     LearnStats    // learning snapshot of the most recent search
-	fanins        [][]int       // shared gate→fanin-node-ID table (faninTable)
+	lastStats SearchStats   // snapshot of the most recent search
+	lastPar   ParallelStats // pool snapshot of the most recent parallel search
+	lastLearn LearnStats    // learning snapshot of the most recent search
+	fanins    [][]int       // shared gate→fanin-node-ID table (faninTable)
 	// learnVerify, when non-nil, is handed to every searcher's nogood
 	// store: the soundness property tests re-derive the deadness of each
 	// pruned subtree through it (never set in production).
@@ -484,9 +476,9 @@ func (e *Engine) publishParStats(ps ParallelStats) {
 }
 
 // LearnStats returns the conflict-learning snapshot of the engine's
-// most recent search (zero when Options.Learning is off). Serial and
-// static-sharding snapshots are deterministic; with stealing enabled
-// the hit/exchange counts depend on the steal schedule.
+// most recent search (zero when Options.Learning is off). Serial
+// snapshots are deterministic; in parallel runs the hit/exchange
+// counts depend on the steal schedule.
 func (e *Engine) LearnStats() LearnStats {
 	if e.statsMu != nil {
 		e.statsMu.Lock()
@@ -697,16 +689,23 @@ func (sc *kernelScratch) ensure(n int, pool *polyfit.Pool) {
 // performs no allocations, no map lookups and no string building: each
 // arc resolves by (gate ID, pin index, vector case, edge) into the
 // run-specialized 2-variable kernels (see kernels.go), bit-identical
-// to evaluating the full 4-variable models.
+// to evaluating the full 4-variable models (legacyArcDelays in the
+// tests is that oracle).
 //
-// The work runs in two passes over the path (arcDelaysBatched): a
-// sequential lane-resolution pass that chains the slew recurrence —
-// arc i+1's input transition time is arc i's slew output, an inherent
-// data dependence — and a batched delay pass that scores all arcs
-// through the struct-of-arrays kernel pool, polyfit.BatchWidth lanes
-// per round. Batching changes which arc is evaluated when, never the
-// factor or summation order within one arc, so the results are
-// bit-identical to the one-arc-at-a-time walk (TestBatchedArcDelays*).
+// The work runs in two passes over the path. Pass 1 walks it
+// sequentially — arc i+1's input transition time is arc i's slew
+// output, an inherent data dependence: per arc it resolves the dense
+// slot, builds the lane's (Fo, Tin) power block once, records the
+// delay kernel's pool ID, and advances the slew chain — through the
+// same block when the slew kernel shares the delay kernel's
+// normalization (every arc of a single-grid library), falling back to
+// a one-kernel evaluation otherwise. The per-arc error checks (load
+// resolution, slot lookup, uncharacterized kernel, non-propagating
+// vector) run here, so failures surface at the exact arc. Pass 2 sums
+// every delay lane in one tight loop over the pooled arrays
+// (polyfit.Pool.SumBatch), polyfit.BatchWidth lanes per round.
+// Batching changes which arc is evaluated when, never the factor or
+// summation order within one arc.
 //
 // stalint:noalloc the steady-state query loop is the contract
 // (TestArcDelaysSteadyStateAllocs); error paths below carry ignores
@@ -723,30 +722,6 @@ func (e *Engine) ArcDelaysInto(dst []float64, arcs []Arc, launchRising bool) ([]
 		return nil, err
 	}
 	kt.queries.Add(int64(len(arcs)))
-	if e.scalarKernels {
-		return e.arcDelaysScalarInto(kt, dst, arcs, launchRising)
-	}
-	return e.arcDelaysBatched(kt, dst, arcs, launchRising)
-}
-
-// arcDelaysBatched is the production ArcDelaysInto core. Pass 1 walks
-// the path sequentially: per arc it resolves the dense slot, builds
-// the lane's (Fo, Tin) power block once, records the delay kernel's
-// pool ID, and advances the slew chain — through the same block when
-// the slew kernel shares the delay kernel's normalization (every arc
-// of a single-grid library), falling back to a scalar evaluation
-// otherwise. The per-arc error checks (load resolution, slot lookup,
-// uncharacterized kernel, non-propagating vector) run here, in the
-// legacy order, so failures surface at the exact arc with the exact
-// message the scalar walk produces. Pass 2 sums every delay lane in
-// one tight loop over the pooled arrays (polyfit.Pool.SumBatch) — no
-// setup, no pointer chasing between lanes. The scalar walk builds two
-// power tables per arc (delay and slew evaluation each); this path
-// builds one per lane.
-//
-// stalint:noalloc the batched query path is the search's path-scoring
-// hot loop
-func (e *Engine) arcDelaysBatched(kt *kernelTable, dst []float64, arcs []Arc, launchRising bool) ([]float64, error) {
 	out := dst[:0]
 	sc := &e.ksc
 	pool := kt.pool
@@ -796,44 +771,6 @@ func (e *Engine) arcDelaysBatched(kt *kernelTable, dst []float64, arcs []Arc, la
 	kt.batchRounds.Add((n + polyfit.BatchWidth - 1) / polyfit.BatchWidth)
 	if m := e.Opts.Metrics; m != nil {
 		m.KernelBatchFill.ObserveNs(n)
-	}
-	return out, nil
-}
-
-// arcDelaysScalarInto is the legacy one-arc-at-a-time kernel walk
-// (the PR 4 query path), kept as the differential oracle the batched
-// core is proven byte-identical against, and as the benchmark
-// baseline its speedup is measured from.
-//
-// stalint:noalloc same steady-state contract as the batched core
-func (e *Engine) arcDelaysScalarInto(kt *kernelTable, dst []float64, arcs []Arc, launchRising bool) ([]float64, error) {
-	out := dst[:0]
-	slew := e.Opts.InputSlew
-	rising := launchRising
-	var x [2]float64
-	for i := range arcs {
-		a := &arcs[i]
-		if err := kt.foErr[a.Gate.ID]; err != nil {
-			return nil, err
-		}
-		ak, err := kt.arc(a)
-		if err != nil {
-			return nil, err
-		}
-		ei := edgeIndex(rising)
-		dm := ak.delay[ei]
-		if dm == nil {
-			// stalint:ignore noalloc terminal error path; the query is abandoned, not retried
-			return nil, fmt.Errorf("charlib: no polynomial arc %s", charlib.PolyKey(a.Gate.Cell.Name, a.Pin, a.Vec.Key(), rising))
-		}
-		x[0], x[1] = kt.fo[a.Gate.ID], slew
-		out = append(out, dm.Eval(x[:]))
-		slew = ak.slew[ei].Eval(x[:])
-		if !ak.outOK[ei] {
-			// stalint:ignore noalloc terminal error path; the query is abandoned, not retried
-			return nil, fmt.Errorf("core: arc %s/%s vector %s does not propagate", a.Gate.Name, a.Pin, a.Vec.Key())
-		}
-		rising = ak.outRising[ei]
 	}
 	return out, nil
 }

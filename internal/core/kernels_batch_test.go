@@ -7,137 +7,15 @@ import (
 
 	"tpsta/internal/cell"
 	"tpsta/internal/charlib"
-	"tpsta/internal/circuits"
 	"tpsta/internal/netlist"
 	"tpsta/internal/polyfit"
 )
 
-// Scalar-vs-batched differential suite for the struct-of-arrays kernel
-// path (arcDelaysBatched vs arcDelaysScalarInto). The batched evaluator
-// changes which arc is scored when — never the factor or summation
-// order within one arc — so every search mode must report byte-identical
-// results on either path, at any worker count, including under -race.
-
-// batchDiffEngine builds an engine pinned to the scalar or the batched
-// kernel path.
-func batchDiffEngine(t testing.TB, c *netlist.Circuit, lib *charlib.Library, workers int, scalar bool) *Engine {
-	t.Helper()
-	e := New(c, t130(t), lib, Options{Workers: workers})
-	e.scalarKernels = scalar
-	return e
-}
-
-// batchDiffSubjects is the issue-mandated circuit matrix: the two
-// characterized subjects (fig4, c17 — every cell in charLib130) and the
-// two structure-only stress subjects (mult's AOI array cells are
-// uncharacterized, so it runs with a nil library like the learning
-// suite; skew exercises deep skewed cones).
-func batchDiffSubjects(t testing.TB) []struct {
-	name string
-	c    *netlist.Circuit
-	lib  *charlib.Library
-} {
-	t.Helper()
-	lib := charLib130(t)
-	fig4, err := circuits.Get("fig4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c17, err := circuits.Get("c17")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mult, err := circuits.Multiplier("m", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	skew, err := circuits.Skewed("skewS", 14, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []struct {
-		name string
-		c    *netlist.Circuit
-		lib  *charlib.Library
-	}{
-		{"fig4", fig4, lib},
-		{"c17", c17, lib},
-		{"mult", mult, nil},
-		{"skew", skew, nil},
-	}
-}
-
-// TestBatchedMatchesScalarEnumerate proves full enumerations
-// byte-identical between the two kernel paths — paths, vectors, cubes,
-// delays and instrumentation counters — serial and sharded.
-func TestBatchedMatchesScalarEnumerate(t *testing.T) {
-	for _, sub := range batchDiffSubjects(t) {
-		sub := sub
-		t.Run(sub.name, func(t *testing.T) {
-			for _, w := range []int{1, 4} {
-				scalar, err := batchDiffEngine(t, sub.c, sub.lib, w, true).Enumerate()
-				if err != nil {
-					t.Fatalf("workers=%d scalar: %v", w, err)
-				}
-				batched, err := batchDiffEngine(t, sub.c, sub.lib, w, false).Enumerate()
-				if err != nil {
-					t.Fatalf("workers=%d batched: %v", w, err)
-				}
-				assertSameResult(t, fmt.Sprintf("%s/enumerate/workers=%d", sub.name, w), scalar, batched, true)
-			}
-		})
-	}
-}
-
-// TestBatchedMatchesScalarKWorst proves the branch-and-bound search
-// byte-identical: the batched gateUB bound tables must reproduce the
-// scalar bounds bit for bit, or the pruning — and with it the k-worst
-// set — would drift. Stats are compared strictly only at workers=1
-// (the parallel heap counters depend on the steal schedule).
-func TestBatchedMatchesScalarKWorst(t *testing.T) {
-	for _, sub := range batchDiffSubjects(t) {
-		sub := sub
-		t.Run(sub.name, func(t *testing.T) {
-			for _, w := range []int{1, 4} {
-				scalar, err := batchDiffEngine(t, sub.c, sub.lib, w, true).KWorst(5)
-				if err != nil {
-					t.Fatalf("workers=%d scalar: %v", w, err)
-				}
-				batched, err := batchDiffEngine(t, sub.c, sub.lib, w, false).KWorst(5)
-				if err != nil {
-					t.Fatalf("workers=%d batched: %v", w, err)
-				}
-				assertSameResult(t, fmt.Sprintf("%s/kworst/workers=%d", sub.name, w), scalar, batched, w == 1)
-			}
-		})
-	}
-}
-
-// TestBatchedMatchesScalarCourse proves single-course exploration
-// byte-identical on the worst recorded course of fig4.
-func TestBatchedMatchesScalarCourse(t *testing.T) {
-	fig4, err := circuits.Get("fig4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lib := charLib130(t)
-	full, err := batchDiffEngine(t, fig4, lib, 1, false).Enumerate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	course := full.Paths[0].Nodes
-	for _, w := range []int{1, 4} {
-		scalar, err := batchDiffEngine(t, fig4, lib, w, true).EnumerateCourse(course)
-		if err != nil {
-			t.Fatalf("workers=%d scalar: %v", w, err)
-		}
-		batched, err := batchDiffEngine(t, fig4, lib, w, false).EnumerateCourse(course)
-		if err != nil {
-			t.Fatalf("workers=%d batched: %v", w, err)
-		}
-		assertSameResult(t, fmt.Sprintf("course/workers=%d", w), scalar, batched, true)
-	}
-}
+// Lane-level tests of the struct-of-arrays kernel path: path lengths
+// around the BatchWidth boundaries, an uncharacterized hole mid-path,
+// and the zero-allocation contract across several batch rounds. The
+// oracle is legacyArcDelays (kernels_test.go): string-keyed
+// charlib.GateDelay on the full 4-variable models.
 
 // invChain builds a chain of n INV gates — the one characterized cell
 // with a single arc — so paths of every length are available for the
@@ -161,11 +39,9 @@ func invChain(t testing.TB, n int) *netlist.Circuit {
 	return c
 }
 
-// TestBatchedTailLanes sweeps every path length from one arc through
-// several full BatchWidth rounds plus every partial-tail residue,
-// checking the batched delays bit for bit against the scalar walk.
-func TestBatchedTailLanes(t *testing.T) {
-	n := 2*polyfit.BatchWidth + polyfit.BatchWidth/2 // 20 arcs: full rounds + a partial tail
+// invChainArcs enumerates an n-INV chain and returns its single path.
+func invChainArcs(t testing.TB, n int) (*Engine, []Arc) {
+	t.Helper()
 	e := New(invChain(t, n), t130(t), charLib130(t), Options{})
 	res, err := e.Enumerate()
 	if err != nil {
@@ -175,20 +51,28 @@ func TestBatchedTailLanes(t *testing.T) {
 	if len(arcs) != n {
 		t.Fatalf("chain path has %d arcs, want %d", len(arcs), n)
 	}
+	return e, arcs
+}
+
+// TestBatchedTailLanes sweeps every path length from one arc through
+// several full BatchWidth rounds plus every partial-tail residue,
+// checking the batched delays bit for bit against the string-keyed
+// charlib oracle.
+func TestBatchedTailLanes(t *testing.T) {
+	n := 2*polyfit.BatchWidth + polyfit.BatchWidth/2 // 20 arcs: full rounds + a partial tail
+	e, arcs := invChainArcs(t, n)
 	for pre := 1; pre <= n; pre++ {
-		e.scalarKernels = false
-		batched, err := e.ArcDelays(arcs[:pre], true)
+		got, err := e.ArcDelays(arcs[:pre], true)
 		if err != nil {
-			t.Fatalf("prefix %d batched: %v", pre, err)
+			t.Fatalf("prefix %d: %v", pre, err)
 		}
-		e.scalarKernels = true
-		scalar, err := e.ArcDelays(arcs[:pre], true)
+		want, err := legacyArcDelays(e, arcs[:pre], true)
 		if err != nil {
-			t.Fatalf("prefix %d scalar: %v", pre, err)
+			t.Fatalf("prefix %d oracle: %v", pre, err)
 		}
-		for i := range scalar {
-			if math.Float64bits(batched[i]) != math.Float64bits(scalar[i]) {
-				t.Errorf("prefix %d arc %d: batched %v vs scalar %v", pre, i, batched[i], scalar[i])
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("prefix %d arc %d: batched %v vs charlib %v", pre, i, got[i], want[i])
 			}
 		}
 	}
@@ -226,9 +110,9 @@ func invChainWithAnd(t testing.TB, n, at int) *netlist.Circuit {
 }
 
 // TestBatchedNilKernelErrorsAtExactArc pokes an uncharacterized hole
-// into the middle of a warm kernel table — both the dense slot and the
-// legacy block — and checks that both paths fail on the exact arc with
-// the identical message, while the prefix before the hole still scores.
+// into the middle of a warm kernel table and checks that the query
+// fails on the exact arc, with the exact message naming the missing
+// polynomial, while the prefix before the hole still scores.
 func TestBatchedNilKernelErrorsAtExactArc(t *testing.T) {
 	n := polyfit.BatchWidth + 3
 	hole := polyfit.BatchWidth + 1 // second round, mid-tail
@@ -247,67 +131,47 @@ func TestBatchedNilKernelErrorsAtExactArc(t *testing.T) {
 	if arcs == nil {
 		t.Fatal("no full-length path from a")
 	}
-	if arcs[hole].Gate.Cell.Name != "AND2" {
-		t.Fatalf("arc %d is %s, want the spliced AND2", hole, arcs[hole].Gate.Cell.Name)
+	a := &arcs[hole]
+	if a.Gate.Cell.Name != "AND2" {
+		t.Fatalf("arc %d is %s, want the spliced AND2", hole, a.Gate.Cell.Name)
 	}
 	kt, err := e.kernels()
 	if err != nil {
 		t.Fatal(err)
 	}
-	slot, err := kt.slot(&arcs[hole])
+	slot, err := kt.slot(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kt.delayID[slot] = -1  // stalint:ignore sharedstate test pokes a hole into a single-engine table it owns
+	kt.delayID[slot] = -1   // stalint:ignore sharedstate test pokes a hole into a single-engine table it owns
 	kt.delayID[slot+1] = -1 // stalint:ignore sharedstate test pokes a hole into a single-engine table it owns
-	ak, err := kt.arc(&arcs[hole])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ak.delay[0], ak.delay[1] = nil, nil
 
 	if _, err := e.ArcDelays(arcs[:hole], true); err != nil {
 		t.Fatalf("prefix before the hole must still score: %v", err)
 	}
-	_, batchedErr := e.ArcDelays(arcs, true)
-	e.scalarKernels = true
-	_, scalarErr := e.ArcDelays(arcs, true)
-	if batchedErr == nil || scalarErr == nil {
-		t.Fatalf("hole not detected: batched=%v scalar=%v", batchedErr, scalarErr)
+	// The chain inverts at every INV; the edge entering the hole is the
+	// launch edge flipped once per preceding arc.
+	entering := hole%2 == 0
+	want := "charlib: no polynomial arc " + charlib.PolyKey("AND2", a.Pin, a.Vec.Key(), entering)
+	_, err = e.ArcDelays(arcs, true)
+	if err == nil {
+		t.Fatal("hole not detected")
 	}
-	if batchedErr.Error() != scalarErr.Error() {
-		t.Errorf("error mismatch:\n batched %v\n scalar  %v", batchedErr, scalarErr)
+	if err.Error() != want {
+		t.Errorf("error mismatch:\n got  %v\n want %s", err, want)
 	}
 }
 
 // TestBatchedArcDelaysSteadyStateAllocs is the zero-allocation gate on
-// the batched path specifically (the generic gate in kernels_test.go
-// covers the default route): warm table, warm lane scratch, supplied
-// buffer — no allocations per query on either kernel path.
+// a path spanning several BatchWidth rounds plus a partial tail (the
+// generic gate in kernels_test.go scores one short fig4 path): warm
+// table, warm lane scratch, supplied buffer — no allocations per query.
 func TestBatchedArcDelaysSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
-	e := delayEngine(t, "fig4", 1)
-	res, err := e.Enumerate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	arcs := res.Paths[0].Arcs
-	buf := make([]float64, 0, len(arcs))
-	for _, scalar := range []bool{false, true} {
-		e.scalarKernels = scalar
-		allocs := testing.AllocsPerRun(200, func() {
-			var err error
-			buf, err = e.ArcDelaysInto(buf, arcs, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > 0 {
-			t.Errorf("scalar=%v: steady-state ArcDelaysInto allocates %.1f objects per query", scalar, allocs)
-		}
-	}
+	e, arcs := invChainArcs(t, 2*polyfit.BatchWidth+polyfit.BatchWidth/2)
+	assertArcDelaysZeroAlloc(t, e, arcs)
 }
 
 // TestKernelStatsBatchFields checks the pool/batch observability the

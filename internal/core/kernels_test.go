@@ -2,10 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
+	"tpsta/internal/charlib"
 	"tpsta/internal/circuits"
+	"tpsta/internal/netlist"
 )
 
 // legacyArcDelays recomputes ArcDelays the pre-kernel way: string-keyed
@@ -57,6 +60,93 @@ func delayEngine(t testing.TB, circuit string, workers int) *Engine {
 	return New(cNet, t130(t), charLib130(t), Options{Workers: workers})
 }
 
+// oracleSubject is one circuit of the charlib-oracle matrix.
+type oracleSubject struct {
+	name string
+	c    *netlist.Circuit
+	lib  *charlib.Library
+}
+
+// oracleSubjects is the charlib-oracle circuit matrix: the two
+// characterized subjects (fig4, c17 — every cell in charLib130) and
+// two structure-only stress subjects (mult's AOI array cells are
+// uncharacterized, so it runs with a nil library like the learning
+// suite; skew exercises deep skewed cones), whose oracle is one unit
+// of delay per arc.
+func oracleSubjects(t testing.TB) []oracleSubject {
+	t.Helper()
+	lib := charLib130(t)
+	fig4, err := circuits.Get("fig4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c17, err := circuits.Get("c17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mult, err := circuits.Multiplier("m", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skew, err := circuits.Skewed("skewS", 14, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []oracleSubject{
+		{"fig4", fig4, lib},
+		{"c17", c17, lib},
+		{"mult", mult, nil},
+		{"skew", skew, nil},
+	}
+}
+
+// checkOracleDelays compares every recorded path's rise and fall
+// delay, bit for bit, with the string-keyed 4-variable evaluation (or,
+// without a library, with one unit per arc).
+func checkOracleDelays(t *testing.T, label string, e *Engine, res *Result) {
+	t.Helper()
+	if len(res.Paths) == 0 {
+		t.Fatalf("%s: no paths", label)
+	}
+	for _, p := range res.Paths {
+		for _, edge := range []struct {
+			ok, rising bool
+			got        float64
+		}{{p.RiseOK, true, p.RiseDelay}, {p.FallOK, false, p.FallDelay}} {
+			if !edge.ok {
+				continue
+			}
+			want := float64(len(p.Arcs))
+			if e.Lib != nil {
+				want = legacyPathDelay(t, e, p.Arcs, edge.rising)
+			}
+			if math.Float64bits(edge.got) != math.Float64bits(want) {
+				t.Errorf("%s %s rising=%v: kernel %v vs charlib %v", label, p, edge.rising, edge.got, want)
+			}
+		}
+	}
+}
+
+// TestBatchedMatchesScalarEnumerate sweeps the subject matrix with full
+// enumerations: every path delay the batched pool kernels record equals
+// the scalar, one-arc-at-a-time charlib oracle bit for bit, serial and
+// sharded.
+func TestBatchedMatchesScalarEnumerate(t *testing.T) {
+	for _, sub := range oracleSubjects(t) {
+		sub := sub
+		t.Run(sub.name, func(t *testing.T) {
+			for _, w := range []int{1, 4} {
+				e := New(sub.c, t130(t), sub.lib, Options{Workers: w})
+				res, err := e.Enumerate()
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				checkOracleDelays(t, fmt.Sprintf("workers=%d", w), e, res)
+			}
+		})
+	}
+}
+
 // TestKernelDelaysBitIdenticalEnumerate checks the tentpole contract on
 // a full enumeration: every recorded path's delay equals the
 // string-keyed, 4-variable evaluation bit for bit, serial and sharded.
@@ -84,6 +174,44 @@ func TestKernelDelaysBitIdenticalEnumerate(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBatchedMatchesScalarKWorst checks the same contract over the
+// subject matrix under the branch-and-bound search, whose pruning
+// thresholds are built from the batched kernels too, and that the
+// sharded k-worst set matches the serial one.
+func TestBatchedMatchesScalarKWorst(t *testing.T) {
+	const k = 5
+	for _, sub := range oracleSubjects(t) {
+		sub := sub
+		t.Run(sub.name, func(t *testing.T) {
+			var serial *Result
+			for _, w := range []int{1, 4} {
+				e := New(sub.c, t130(t), sub.lib, Options{Workers: w})
+				res, err := e.KWorst(k)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				checkOracleDelays(t, fmt.Sprintf("workers=%d", w), e, res)
+				if serial == nil {
+					serial = res
+					continue
+				}
+				if len(res.Paths) != len(serial.Paths) {
+					t.Fatalf("workers=%d: %d paths vs serial %d", w, len(res.Paths), len(serial.Paths))
+				}
+				for i := range res.Paths {
+					if res.Paths[i].String() != serial.Paths[i].String() {
+						t.Errorf("rank %d: %s vs serial %s", i, res.Paths[i], serial.Paths[i])
+					}
+					// stalint:ignore floatcmp parallel K-worst must reproduce the serial delays bit for bit
+					if res.Paths[i].WorstDelay() != serial.Paths[i].WorstDelay() {
+						t.Errorf("rank %d: delay %v vs serial %v", i, res.Paths[i].WorstDelay(), serial.Paths[i].WorstDelay())
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -130,6 +258,59 @@ func TestKernelDelaysBitIdenticalKWorst(t *testing.T) {
 			// stalint:ignore floatcmp parallel K-worst must reproduce the serial delays bit for bit
 			if res.Paths[i].WorstDelay() != serial.Paths[i].WorstDelay() {
 				t.Errorf("rank %d: delay %v vs serial %v", i, res.Paths[i].WorstDelay(), serial.Paths[i].WorstDelay())
+			}
+		}
+	}
+}
+
+// TestBatchedMatchesScalarCourse checks single-course exploration of
+// fig4's worst recorded course against the scalar charlib oracle,
+// serial and sharded.
+func TestBatchedMatchesScalarCourse(t *testing.T) {
+	full, err := delayEngine(t, "fig4", 1).Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	course := full.Paths[0].Nodes
+	for _, w := range []int{1, 4} {
+		e := delayEngine(t, "fig4", w)
+		res, err := e.EnumerateCourse(course)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		checkOracleDelays(t, fmt.Sprintf("course/workers=%d", w), e, res)
+	}
+}
+
+// TestGateUBMatchesCharlib pins the K-worst bound tables to the
+// charlib oracle: every gate's bound must be 1.15 × the worst
+// GateDelay over its (pin, vector, edge) arcs at the gate's load and
+// the slowest characterized Tin, bit for bit.
+func TestGateUBMatchesCharlib(t *testing.T) {
+	for _, name := range []string{"fig4", "c17"} {
+		e := delayEngine(t, name, 1)
+		p, err := newPruner(e, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slowest := e.Lib.Grid.Tin[len(e.Lib.Grid.Tin)-1]
+		for _, g := range e.Circuit.Gates {
+			fo, err := e.Lib.Fo(g.Cell.Name, e.load(g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			worst := 0.0
+			for _, pin := range g.Cell.Inputs {
+				d, _, err := e.Lib.WorstDelay(g.Cell, pin, fo, slowest, e.Opts.Temp, e.Opts.VDD)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d > worst {
+					worst = d
+				}
+			}
+			if got, want := p.arcUB[g.ID], worst*1.15; math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s gate %s: bound %v vs charlib %v", name, g.Name, got, want)
 			}
 		}
 	}
@@ -311,7 +492,13 @@ func TestArcDelaysSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arcs := res.Paths[0].Arcs
+	assertArcDelaysZeroAlloc(t, e, res.Paths[0].Arcs)
+}
+
+// assertArcDelaysZeroAlloc scores arcs repeatedly into one reused
+// buffer on a warm engine and fails if any query allocates.
+func assertArcDelaysZeroAlloc(t *testing.T, e *Engine, arcs []Arc) {
+	t.Helper()
 	buf := make([]float64, 0, len(arcs))
 	allocs := testing.AllocsPerRun(200, func() {
 		var err error
@@ -321,6 +508,6 @@ func TestArcDelaysSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	if allocs > 0 {
-		t.Errorf("steady-state ArcDelaysInto allocates %.1f objects per query", allocs)
+		t.Errorf("steady-state ArcDelaysInto allocates %.1f objects per query on a %d-arc path", allocs, len(arcs))
 	}
 }

@@ -37,7 +37,7 @@ type Metrics struct {
 	// insert (nogood.go, learnDecision).
 	NogoodStoreNs obs.Histogram
 	// KernelBatchFill records the lane count of each batched arc-delay
-	// evaluation (arcDelaysBatched) — the path length scored per query.
+	// evaluation (ArcDelaysInto) — the path length scored per query.
 	// Not a latency: the histogram's log2 buckets hold arc counts, so
 	// the distribution shows how full the BatchWidth-lane rounds run.
 	KernelBatchFill obs.Histogram

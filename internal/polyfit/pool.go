@@ -239,15 +239,13 @@ func (p *Pool) Rebank(kernels []*Specialized) (*Pool, error) {
 // RespecBatch re-folds every pooled kernel at a new fixed-variable
 // operating point in one fused pass: the semantics of calling
 // Specialized.Respecialize on each base kernel followed by Rebank on
-// the results, without materializing the intermediate walk twice.
+// the results, without materializing the respecialized kernels.
 // base[i] must be the i-th kernel Added to the receiver. The returned
 // pool shares the receiver's corner-invariant geometry (normalization,
 // orders, term offsets) and carries a fresh term bank that starts as a
 // straight copy of the base bank — coefficients and factor indices are
 // corner-invariant — with only the fixed-variable constants (c0/c1)
-// re-folded. The returned kernels are the matching scalar
-// respecializations, one batch-allocated backing array for all of
-// them, in base order.
+// re-folded. base itself is only read.
 //
 // The pass verifies the sharing contract as it goes — each kernel's
 // free-variable normalization and orders against the pool's geometry
@@ -261,9 +259,9 @@ func (p *Pool) Rebank(kernels []*Specialized) (*Pool, error) {
 //
 // stalint:coldpath one fused rebank per additional operating point at
 // table-build time, amortized over every subsequent batched query
-func (p *Pool) RespecBatch(base []*Specialized, fixed map[string]float64) (*Pool, []*Specialized, error) {
+func (p *Pool) RespecBatch(base []*Specialized, fixed map[string]float64) (*Pool, error) {
 	if len(base) != p.NumKernels() {
-		return nil, nil, fmt.Errorf("polyfit: Pool.RespecBatch: %d kernels for a pool of %d", len(base), p.NumKernels())
+		return nil, fmt.Errorf("polyfit: Pool.RespecBatch: %d kernels for a pool of %d", len(base), p.NumKernels())
 	}
 	np := &Pool{
 		lo:      p.lo,
@@ -276,73 +274,58 @@ func (p *Pool) RespecBatch(base []*Specialized, fixed map[string]float64) (*Pool
 		sealed:  true,
 	}
 	copy(np.terms, p.terms)
-	totalOps := 0
-	for _, s := range base {
-		totalOps += len(s.ops)
-	}
-	ks := make([]Specialized, len(base))
-	out := make([]*Specialized, len(base))
-	flatOps := make([]specOp, totalOps)
 	var memo respecMemo
-	off := 0
 	for ki, s := range base {
 		k := int32(ki)
 		if len(s.vars) != 2 {
-			return nil, nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d has %d free variables, want 2", ki, len(s.vars))
+			return nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d has %d free variables, want 2", ki, len(s.vars))
 		}
 		// The shared geometry is only valid if base[ki] is the kernel the
 		// pool was compiled from, bit for bit.
 		// stalint:ignore floatcmp bit-identical normalization is the sharing contract
 		if s.lo[0] != p.lo[2*k] || s.lo[1] != p.lo[2*k+1] ||
 			s.scale[0] != p.scale[2*k] || s.scale[1] != p.scale[2*k+1] { // stalint:ignore floatcmp bit-identical normalization is the sharing contract
-			return nil, nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d normalization differs from the base pool", ki)
+			return nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d normalization differs from the base pool", ki)
 		}
 		if uint16(s.orders[0]) != p.ord[2*k] || uint16(s.orders[1]) != p.ord[2*k+1] {
-			return nil, nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d orders (%d,%d) differ from the base (%d,%d)",
+			return nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d orders (%d,%d) differ from the base (%d,%d)",
 				ki, s.orders[0], s.orders[1], p.ord[2*k], p.ord[2*k+1])
 		}
 		if int(p.termOff[k+1]-p.termOff[k]) != len(s.terms) {
-			return nil, nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d has %d terms, base has %d",
+			return nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d has %d terms, base has %d",
 				ki, len(s.terms), p.termOff[k+1]-p.termOff[k])
 		}
 		pows, err := memo.powsFor(s, fixed)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		ns := &ks[ki]
-		*ns = *s // immutable slices (vars, terms, fixed tables) are shared
-		ns.ops = flatOps[off : off+len(s.ops) : off+len(s.ops)]
-		copy(ns.ops, s.ops)
-		off += len(s.ops)
 		for ti := range s.terms {
 			t := &s.terms[ti]
 			pt := &np.terms[int(p.termOff[k])+ti]
 			// stalint:ignore floatcmp coefficients must match bit-for-bit for the banks to be interchangeable
 			if t.coef != pt.coef {
-				return nil, nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d term %d coefficient differs from the base pool", ki, ti)
+				return nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d term %d coefficient differs from the base pool", ki, ti)
 			}
 			nc := 0
 			for oi := t.lo; oi < t.hi; oi++ {
-				op := &ns.ops[oi]
+				op := &s.ops[oi]
 				if op.free >= 0 {
 					continue
 				}
 				c := pows[-1-int(op.free)][op.exp]
-				op.c = c
 				switch nc {
 				case 0:
 					pt.c0 = c
 				case 1:
 					pt.c1 = c
 				default:
-					return nil, nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d term %d has more than two fixed-variable factors", ki, ti)
+					return nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d term %d has more than two fixed-variable factors", ki, ti)
 				}
 				nc++
 			}
 		}
-		out[ki] = ns
 	}
-	return np, out, nil
+	return np, nil
 }
 
 // respecMemo caches the last fixed-variable power block RespecBatch

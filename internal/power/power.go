@@ -108,17 +108,9 @@ func Estimate(c *netlist.Circuit, tc *tech.Tech, lib *charlib.Library, opts Opti
 			return nil, err
 		}
 		for _, pin := range g.Cell.Inputs {
-			worst := 0.0
-			for _, vec := range g.Cell.Vectors(pin) {
-				for _, rising := range []bool{true, false} {
-					d, _, err := lib.GateDelay(g.Cell.Name, pin, vec.Key(), rising, fo, opts.InputSlew, opts.Temp, opts.VDD)
-					if err != nil {
-						return nil, err
-					}
-					if d > worst {
-						worst = d
-					}
-				}
+			worst, _, err := lib.WorstDelay(g.Cell, pin, fo, opts.InputSlew, opts.Temp, opts.VDD)
+			if err != nil {
+				return nil, err
 			}
 			if worst <= 0 {
 				worst = 1e-12 // untestable arcs still need a causal delay

@@ -157,17 +157,9 @@ func New(c *netlist.Circuit, tc *tech.Tech, lib *charlib.Library, opts Options) 
 			return nil, err
 		}
 		for _, pin := range g.Cell.Inputs {
-			worst := 0.0
-			for _, vec := range g.Cell.Vectors(pin) {
-				for _, rising := range []bool{true, false} {
-					d, _, err := lib.GateDelay(g.Cell.Name, pin, vec.Key(), rising, fo, a.Opts.InputSlew, a.Opts.Temp, a.Opts.VDD)
-					if err != nil {
-						return nil, err
-					}
-					if d > worst {
-						worst = d
-					}
-				}
+			worst, _, err := lib.WorstDelay(g.Cell, pin, fo, a.Opts.InputSlew, a.Opts.Temp, a.Opts.VDD)
+			if err != nil {
+				return nil, err
 			}
 			if worst <= 0 {
 				return nil, fmt.Errorf("ssta: arc %s/%s has no delay", g.Name, pin)
